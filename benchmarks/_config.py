@@ -22,11 +22,11 @@ TENSOR_SCALE = int(os.environ.get("REPRO_TENSOR_SCALE", "48"))
 REPEATS = int(os.environ.get("REPRO_REPEATS", "1"))
 
 #: Execution backends compared by the backend benchmarks (comma-separated in
-#: the environment): any of "interpret", "compile", "vectorize", "typed".
+#: the environment): any of "interpret", "compile", "typed".
 BACKENDS = tuple(
     backend.strip()
     for backend in os.environ.get(
-        "REPRO_BACKENDS", "interpret,compile,vectorize,typed").split(",")
+        "REPRO_BACKENDS", "interpret,compile,typed").split(",")
     if backend.strip()
 )
 

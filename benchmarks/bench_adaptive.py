@@ -82,6 +82,11 @@ STATIC_FORMATS = ("dense", "csr")
 #: What the data loader produced at time zero — the frozen administrator.
 FROZEN = "dense"
 
+#: The measured execution backend: the generated-code backend these numbers
+#: were first recorded on (on ``typed`` the frozen-dense penalty shrinks
+#: below the 1.5x floor; see docs/adaptive.md).
+BACKEND = "compile"
+
 #: Fig. 7 kernels the overhead check runs (matrix kernels; the rank-3 ones
 #: exercise the same profiling hooks through the same backends).
 OVERHEAD_KERNELS = ("MMM", "BATAX")
@@ -124,7 +129,7 @@ def interleaved_mins(statements: dict, repeats: int = REPEATS) -> dict:
 
 
 def static_session(fmt: str, density: float, seed: int) -> Session:
-    session = Session()
+    session = Session(backend=BACKEND)
     session.register(reformat(DenseFormat.from_dense("A", phase_matrix(density, seed)),
                               fmt))
     session.register(DenseFormat.from_dense("X", X_VECTOR))
@@ -138,7 +143,7 @@ def run_phases() -> list[dict]:
     and its steady state is timed *interleaved* with a fresh static session
     per candidate format over the same phase data.
     """
-    session = Session(feedback=FeedbackConfig(sample_every=4))
+    session = Session(backend=BACKEND, feedback=FeedbackConfig(sample_every=4))
     _, first_density, first_seed = PHASES[0]
     session.register(DenseFormat.from_dense("A", phase_matrix(first_density, first_seed)))
     session.register(DenseFormat.from_dense("X", X_VECTOR))
@@ -183,7 +188,8 @@ def measure_overhead(kernel_name: str) -> dict:
     """
     kernel = KERNELS[kernel_name]
     session = Session(matrix_kernel_catalog(kernel_name, "pdb1HYS",
-                                            scale=MATRIX_SCALE))
+                                            scale=MATRIX_SCALE),
+                      backend=BACKEND)
     statement = session.prepare(kernel.source)
     statement.execute()
 

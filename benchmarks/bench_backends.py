@@ -1,9 +1,9 @@
-"""Execution-backend shootout: interpret vs compile vs vectorize vs typed.
+"""Execution-backend shootout: interpret vs compile vs typed.
 
 Runs every Fig. 7 kernel through the STOREL pipeline once per execution
 backend on one representative dataset each, checks all backends against the
-NumPy oracle, prints the runtime table, the vectorize-over-compile and
-typed-over-best speedups, and records the raw rows in
+NumPy oracle, prints the runtime table and the typed-over-best-other
+speedups, and records the raw rows in
 ``BENCH_backends.json`` at the repository root.  The first execution of
 every (kernel, backend) pair is timed separately as ``compile_ms`` and
 excluded from the steady-state ``mean_ms`` (the typed backend JIT-compiles
@@ -65,25 +65,12 @@ def run_shootout(repeats: int = REPEATS) -> dict:
         "python": platform.python_version(),
         "machine": platform.machine(),
         "rows": [m.as_row() for m in measurements],
-        "vectorize_speedup_over_compile": {},
         "typed_speedup_over_best": {},
     }
     by_kernel: dict[str, dict[str, float]] = {}
     for measurement in measurements:
         if measurement.mean_ms is not None:
             by_kernel.setdefault(measurement.kernel, {})[measurement.system] = measurement.mean_ms
-    speedup_rows = []
-    for kernel, systems in by_kernel.items():
-        compiled = systems.get("STOREL[compile]")
-        vectorized = systems.get("STOREL[vectorize]")
-        if compiled and vectorized:
-            speedup = compiled / vectorized
-            report["vectorize_speedup_over_compile"][kernel] = round(speedup, 3)
-            speedup_rows.append({"kernel": kernel, "compile_ms": compiled,
-                                 "vectorize_ms": vectorized, "speedup": speedup})
-    if speedup_rows:
-        table += "\n" + format_table(
-            speedup_rows, title="vectorize speedup over the compile backend")
     typed_rows = []
     for kernel, systems in by_kernel.items():
         typed = systems.get("STOREL[typed]")
@@ -115,7 +102,7 @@ def test_backend_shootout(benchmark):
     assert len(ok) == len(report["rows"]), \
         f"backend failures: {[r for r in report['rows'] if r['status'] != 'ok']}"
     # Kernel-backend wins must come from kernelized plans, not Python-loop
-    # fallbacks: the fastest vectorize/typed row per kernel reports zero
+    # fallbacks: the fastest typed row per kernel reports zero
     # fallback sums and merges.
     by_kernel: dict[str, list[dict]] = {}
     for row in ok:

@@ -44,6 +44,11 @@ SEED = int(os.environ.get("REPRO_IVM_SEED", "20260807"))
 #: Point-updates streamed per kernel (each at most 1% of the nonzeros).
 UPDATES = int(os.environ.get("REPRO_IVM_UPDATES", "3"))
 
+#: The measured execution backend: the generated-code backend these numbers
+#: were first recorded on (on ``typed`` full re-execution is faster than
+#: delta maintenance; see docs/ivm.md).
+BACKEND = "compile"
+
 _JSON_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                           "BENCH_ivm.json")
 
@@ -89,7 +94,7 @@ def bench_kernel(name, make_catalog, rng, smoke):
     nnz = catalog[target].nnz
     delta_nnz = max(1, nnz // 200)            # 0.5% of the nonzeros per update
 
-    with Server(catalog) as server:
+    with Server(catalog, backend=BACKEND) as server:
         view = server.create_view(name, kernel.source)
         statement = server.session().prepare(kernel.source)
         statement.execute()                   # warm: optimize + lower once

@@ -53,7 +53,7 @@ CASES = (("SUMMM", "serving"), ("MMM", "serving"), ("BATAX", "serving"),
 SERVING_SIZE = int(os.environ.get("REPRO_SERVING_SIZE", "32"))
 
 #: Backends measured (interpret adds nothing here: it has no lowering to skip).
-MEASURED_BACKENDS = ("compile", "vectorize")
+MEASURED_BACKENDS = ("compile", "typed")
 
 #: Bindings per ``execute_many`` batch.
 BATCH = 16

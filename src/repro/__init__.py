@@ -12,7 +12,7 @@ It provides:
 * :mod:`repro.core` — the rewrite rules, cardinality/cost models and the
   two-stage cost-based optimizer (STOREL itself),
 * :mod:`repro.execution` — the three physical-plan execution backends
-  (``interpret`` / ``compile`` / ``vectorize`` / ``typed``) plus the prepared-plan LRU
+  (``interpret`` / ``compile`` / ``typed``) plus the prepared-plan LRU
   cache; every API that executes plans takes a ``backend=`` parameter
   accepting exactly those three values (see ``docs/backends.md``),
 * :mod:`repro.advisor` — the workload-driven storage format advisor

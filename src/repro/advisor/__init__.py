@@ -21,7 +21,7 @@ Entry points, cheapest first:
 * :func:`repro.storel.advise` — one-shot wrapper over a throwaway session;
 * :class:`Advisor` — reusable, holds the conversion/costing caches;
 * ``Advisor.advise(..., measure=True)`` — additionally validates the top-k
-  estimated configurations against real executions on the vectorized
+  estimated configurations against real executions on the default (typed)
   backend and ranks by measured time.
 
 See ``docs/advisor.md`` for a walkthrough and

@@ -14,7 +14,7 @@ free, and the raw configuration space is the product of per-tensor menus):
    Unassigned tensors are scored at their independent best, so every score
    is the cost of one *complete* configuration.
 3. **Optional measurement** — ``measure=True`` executes a small probe set
-   for real (vectorized backend by default — see ``docs/backends.md``) and
+   for real (the typed backend by default — see ``docs/backends.md``) and
    re-ranks by measured time.  The probe set is the top-k estimated
    configurations plus one uniform configuration per storage *family*
    (dense / coo / compressed / dok / trie), followed by a short
@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
 from ..core.optimizer import Optimizer
+from ..execution.engine import DEFAULT_BACKEND
 from ..sdqlite.ast import Expr, Sym, children
 from ..sdqlite.errors import StorageError
 from ..sdqlite.parser import parse_expr
@@ -203,7 +204,7 @@ class Advisor:
         ``"egraph"``).
     backend:
         Execution backend for ``measure=True`` validation runs
-        (``"vectorize"`` default).
+        (:data:`~repro.execution.engine.DEFAULT_BACKEND` by default).
     beam_width / per_tensor_top:
         Pruning knobs of the beam stage: how many partial configurations
         survive each step, and how many of a tensor's independently-ranked
@@ -224,7 +225,7 @@ class Advisor:
     #: per-shard overheads dominate and the search space doubles for nothing.
     _SHARD_ADVISE_MIN_NNZ = 1 << 15
 
-    def __init__(self, session, *, method: str = "greedy", backend: str = "vectorize",
+    def __init__(self, session, *, method: str = "greedy", backend: str = DEFAULT_BACKEND,
                  beam_width: int = 4, per_tensor_top: int = 3,
                  optimizer_options: Mapping[str, Any] | None = None,
                  shard_counts: Sequence[int] = ()):

@@ -32,11 +32,11 @@ class StorelSystem(System):
         faster, and the paper excludes optimization time from Fig. 7–9
         anyway).
     backend:
-        Execution backend: ``"compile"`` (generated Python loops, default),
-        ``"interpret"`` (reference interpreter), ``"vectorize"``
-        (whole-array NumPy with automatic loop fallback) or ``"typed"``
-        (flat typed buffers, JIT-compiled when numba is available); see
-        ``docs/backends.md``.
+        Execution backend: ``"compile"`` (generated Python loops, default
+        here: the paper's generated-code STOREL in the Fig. 7–10
+        reproductions), ``"interpret"`` (reference interpreter) or
+        ``"typed"`` (flat typed buffers, JIT-compiled when numba is
+        available); see ``docs/backends.md``.
     session:
         An optional shared :class:`~repro.session.Session`.  When given and
         its catalog is the one being benchmarked, preparation reuses the
@@ -79,7 +79,7 @@ class FixedPlanSystem(System):
     ``variant`` is one of the candidate-plan names produced by
     :func:`repro.core.strategies.candidate_plans`: ``naive``, ``fused``,
     ``factorized``, ``fused+factorized`` (or ``fused+factorized+merge``).
-    ``backend`` is ``"compile"``, ``"interpret"`` or ``"vectorize"``.
+    ``backend`` is ``"compile"``, ``"interpret"`` or ``"typed"``.
     """
 
     variant: str = "fused+factorized"

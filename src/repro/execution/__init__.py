@@ -1,13 +1,13 @@
-"""Physical plan execution: interpretation, code generation, vectorization.
+"""Physical plan execution: interpretation, code generation, typed buffers.
 
-Four backends (selected with ``backend=`` on :class:`ExecutionEngine`,
+Three backends (selected with ``backend=`` on :class:`ExecutionEngine`,
 :func:`repro.storel.run` and the benchmark systems; see ``docs/backends.md``):
 
 * ``"interpret"`` — the reference interpreter (the semantics oracle),
-* ``"compile"``   — generated Python loops (default),
-* ``"vectorize"`` — whole-array NumPy with automatic per-sum loop fallback,
+* ``"compile"``   — generated Python loops (inspectable source),
 * ``"typed"``     — lane-expanding kernels over flat typed columnar buffers
-  (numba-JIT when available, NumPy-vectorized otherwise).
+  (numba-JIT when available, NumPy-vectorized otherwise); the default,
+  :data:`DEFAULT_BACKEND`.
 
 Prepared plans are cached across calls by :class:`PlanCache`
 (:data:`GLOBAL_PLAN_CACHE` by default), keyed on backend, plan hash and
@@ -18,6 +18,7 @@ from .buffers import HAVE_NUMBA, BufferDict, BufferLevels, to_buffer_levels
 from .codegen import CompiledPlan, compile_plan
 from .engine import (
     BACKENDS,
+    DEFAULT_BACKEND,
     GLOBAL_PLAN_CACHE,
     ExecutionEngine,
     PlanCache,
@@ -30,12 +31,10 @@ from .engine import (
     result_to_vector,
 )
 from .typed_backend import TypedPlan, typed_plan
-from .vectorize import Unvectorizable, VectorizedPlan, vectorize_plan
 
 __all__ = [
-    "BACKENDS",
+    "BACKENDS", "DEFAULT_BACKEND",
     "CompiledPlan", "compile_plan",
-    "VectorizedPlan", "vectorize_plan", "Unvectorizable",
     "TypedPlan", "typed_plan",
     "BufferDict", "BufferLevels", "to_buffer_levels", "HAVE_NUMBA",
     "ExecutionEngine", "PreparedPlan",

@@ -23,7 +23,7 @@ for every kernel / format combination.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -154,8 +154,8 @@ RUNTIME = {
 class CompiledPlan:
     """A plan compiled to Python source plus its callable.
 
-    ``sum_sources`` records, in slot order, the source expression of every
-    ``sum`` loop the compiler emitted — the loop table consumed by the
+    ``sum_sources`` maps each loop slot to the source expression of the
+    ``sum`` loop the compiler emitted there — the loop table consumed by the
     adaptive feedback layer.  Profiled execution (``profile`` argument set)
     runs a *separate* generated variant with per-loop iteration counters; it
     is compiled lazily on first use and cached on the artifact, so the
@@ -165,10 +165,14 @@ class CompiledPlan:
     source: str
     function: Callable[[Mapping[str, Any]], Any]
     plan: Expr | None = None
-    sum_sources: tuple[Expr, ...] = ()
+    sum_sources: Mapping[int, Expr] = field(default_factory=dict)
     _profiled: "CompiledPlan | None" = None
 
-    def __call__(self, env: Mapping[str, Any], profile=None) -> Any:
+    def __call__(self, env: Mapping[str, Any], stats: dict | None = None,
+                 profile=None) -> Any:
+        """Execute against ``env``; ``stats`` is accepted for signature
+        parity with :class:`~repro.execution.typed_backend.TypedPlan` and
+        left untouched (generated loops keep no fallback counters)."""
         if profile is None:
             return self.function(env)
         variant = self._profiled
@@ -390,4 +394,4 @@ def compile_plan(plan: Expr, name: str = "generated_plan",
     except SyntaxError as exc:  # pragma: no cover - indicates a compiler bug
         raise ExecutionError(f"generated code failed to compile: {exc}\n{source}") from exc
     return CompiledPlan(source=source, function=namespace[name], plan=plan,
-                        sum_sources=tuple(compiler.sum_sources))
+                        sum_sources=dict(enumerate(compiler.sum_sources)))

@@ -1,20 +1,16 @@
 """Execution of physical plans over the registered storage.
 
-Four backends are provided (see ``docs/backends.md`` for a full guide):
+Three backends are provided (see ``docs/backends.md`` for a full guide):
 
 * ``interpret`` — the reference interpreter (:mod:`repro.sdqlite.interpreter`);
   the executable semantics of SDQLite and the oracle everything else is
   checked against.
 * ``compile``   — Python code generation (:mod:`repro.execution.codegen`),
   the reproduction's stand-in for the paper's Julia backend: nested scalar
-  ``for`` loops, the default for benchmarks.
-* ``vectorize`` — whole-array NumPy execution
-  (:mod:`repro.execution.vectorize`): ``sum`` loops over ranges, physical
-  arrays and segmented-array slices are evaluated as batched array
-  expressions with scatter/gather, falling back to Python loops per ``sum``
-  for constructs that don't vectorize (merge, tries, nested hash-maps).
+  ``for`` loops whose generated source can be inspected.
 * ``typed``     — typed-buffer compiled execution
-  (:mod:`repro.execution.typed_backend`): whole plans run over flat columnar
+  (:mod:`repro.execution.typed_backend`), the default
+  (:data:`DEFAULT_BACKEND`): whole plans run over flat columnar
   buffers (:mod:`repro.execution.buffers`), with nested sums expanding the
   lane space, merges joining by sorted values and nested-dict lookups
   becoming composite-key ``searchsorted``; kernels JIT via numba when it is
@@ -50,10 +46,15 @@ from ..sdqlite.values import is_scalar, to_plain
 from .buffers import BufferDict
 from .codegen import CompiledPlan, compile_plan
 from .typed_backend import TypedPlan, typed_plan
-from .vectorize import VectorizedPlan, vectorize_plan
 
 #: Accepted values of the ``backend`` parameter, everywhere one is taken.
-BACKENDS = ("interpret", "compile", "vectorize", "typed")
+BACKENDS = ("interpret", "compile", "typed")
+
+#: The backend used wherever a caller does not name one.
+DEFAULT_BACKEND = "typed"
+
+#: Lowering step of every backend that has one (``interpret`` has none).
+_LOWERINGS = {"compile": compile_plan, "typed": typed_plan}
 
 
 def env_signature(env: Mapping[str, Any]) -> tuple:
@@ -72,7 +73,7 @@ class PlanCache:
     Keys are ``(backend, plan, env_signature)`` — plans are frozen
     dataclasses and hash structurally.  Values are the backend artifacts
     (:class:`~repro.execution.codegen.CompiledPlan` or
-    :class:`~repro.execution.vectorize.VectorizedPlan`); both are pure
+    :class:`~repro.execution.typed_backend.TypedPlan`); both are pure
     functions of the plan, so sharing them across environments with the
     same schema is sound.  The environment schema is part of the key by
     design even though today's lowerings ignore the environment: it keeps
@@ -159,8 +160,8 @@ class ExecutionEngine:
         hash-maps, tries, scalars) — usually ``catalog.globals()``.
     backend:
         One of :data:`BACKENDS`: ``"interpret"`` (reference interpreter),
-        ``"compile"`` (generated Python loops, the default) or
-        ``"vectorize"`` (whole-array NumPy with automatic loop fallback).
+        ``"compile"`` (generated Python loops) or ``"typed"`` (typed-buffer
+        kernels, :data:`DEFAULT_BACKEND`).
     cache:
         The :class:`PlanCache` to consult when preparing plans; ``None``
         (the default) uses the process-wide :data:`GLOBAL_PLAN_CACHE`.
@@ -168,11 +169,11 @@ class ExecutionEngine:
     """
 
     env: Mapping[str, Any]
-    backend: str = "compile"
+    backend: str = DEFAULT_BACKEND
     cache: PlanCache | None = None
 
     @classmethod
-    def for_catalog(cls, catalog, backend: str = "compile",
+    def for_catalog(cls, catalog, backend: str = DEFAULT_BACKEND,
                     cache: "PlanCache | None" = None) -> "ExecutionEngine":
         """Build an engine over ``catalog.globals()`` with the given backend."""
         return cls(env=catalog.globals(), backend=backend, cache=cache)
@@ -191,25 +192,17 @@ class ExecutionEngine:
         plan = to_debruijn_safe(plan)
         if self.backend == "interpret":
             return PreparedPlan(plan, self.env)
-        if self.backend not in BACKENDS:
+        lower = _LOWERINGS.get(self.backend)
+        if lower is None:
             raise ExecutionError(
                 f"unknown execution backend {self.backend!r}; expected one of {BACKENDS}")
         cache = self._plan_cache()
         key = (self.backend, plan, env_signature(self.env))
         artifact = cache.get(key)
         if artifact is None:
-            if self.backend == "compile":
-                artifact = compile_plan(plan)
-            elif self.backend == "typed":
-                artifact = typed_plan(plan)
-            else:
-                artifact = vectorize_plan(plan)
+            artifact = lower(plan)
             cache.put(key, artifact)
-        if self.backend == "compile":
-            return PreparedPlan(plan, self.env, compiled=artifact, cache_key=key)
-        if self.backend == "typed":
-            return PreparedPlan(plan, self.env, typed=artifact, cache_key=key)
-        return PreparedPlan(plan, self.env, vectorized=artifact, cache_key=key)
+        return PreparedPlan(plan, self.env, self.backend, artifact, cache_key=key)
 
     def run(self, plan: Expr) -> Any:
         """Prepare and execute a plan once (cache-aware; see :meth:`prepare`)."""
@@ -220,31 +213,21 @@ class ExecutionEngine:
 class PreparedPlan:
     """A plan bound to an environment, ready to execute repeatedly.
 
-    Exactly one of ``compiled`` / ``vectorized`` is set for the ``compile``
-    and ``vectorize`` backends; both are ``None`` for ``interpret``.
-    ``cache_key`` records the :class:`PlanCache` key the artifact lives
-    under (``None`` for ``interpret``), so holders — e.g. prepared
-    statements in :mod:`repro.session` — can evict it when the catalog
-    schema changes underneath them.
+    ``artifact`` is the lowered plan of ``backend`` (a
+    :class:`~repro.execution.codegen.CompiledPlan` or
+    :class:`~repro.execution.typed_backend.TypedPlan`); it is ``None`` for
+    ``interpret``, which evaluates the plan directly.  ``cache_key`` records
+    the :class:`PlanCache` key the artifact lives under (``None`` for
+    ``interpret``), so holders — e.g. prepared statements in
+    :mod:`repro.session` — can evict it when the catalog schema changes
+    underneath them.
     """
 
     plan: Expr
     env: Mapping[str, Any]
-    compiled: CompiledPlan | None = None
-    vectorized: VectorizedPlan | None = None
-    typed: TypedPlan | None = None
+    backend: str = "interpret"
+    artifact: CompiledPlan | TypedPlan | None = None
     cache_key: Hashable | None = None
-
-    @property
-    def backend(self) -> str:
-        """The backend this plan was prepared for."""
-        if self.compiled is not None:
-            return "compile"
-        if self.vectorized is not None:
-            return "vectorize"
-        if self.typed is not None:
-            return "typed"
-        return "interpret"
 
     def run(self, env: Mapping[str, Any] | None = None,
             stats: dict | None = None, profile=None) -> Any:
@@ -255,9 +238,9 @@ class PreparedPlan:
         prepared statement re-binding a scalar parameter — is sound.
 
         ``stats``, when given, receives per-run execution counters from the
-        backends that collect them (``vectorize`` and ``typed`` report
-        ``sum_loops`` and ``fallback_sums`` — how many loops took the scalar
-        Python fallback instead of a batched kernel).
+        backends that collect them (``typed`` reports ``sum_loops`` and
+        ``fallback_sums`` — how many loops took the scalar Python fallback
+        instead of a batched kernel).
 
         ``profile``, when given, is an
         :class:`~repro.execution.profile.ExecutionProfile` filled with the
@@ -267,13 +250,9 @@ class PreparedPlan:
         """
         if env is None:
             env = self.env
-        if self.compiled is not None:
-            return self.compiled(env, profile)
-        if self.vectorized is not None:
-            return self.vectorized(env, stats, profile)
-        if self.typed is not None:
-            return self.typed(env, stats, profile)
-        return evaluate(self.plan, env, profile=profile)
+        if self.artifact is None:
+            return evaluate(self.plan, env, profile=profile)
+        return self.artifact(env, stats, profile)
 
     def loop_sources(self) -> Mapping[Any, Expr]:
         """``{loop slot: source expression}`` for this plan's ``sum`` loops.
@@ -282,26 +261,18 @@ class PreparedPlan:
         integers for the lowering backends, the plan's
         :class:`~repro.sdqlite.ast.Sum` nodes for the interpreter.
         """
-        if self.compiled is not None:
-            return dict(enumerate(self.compiled.sum_sources))
-        if self.vectorized is not None:
-            return self.vectorized.sum_sources or {}
-        if self.typed is not None:
-            return self.typed.sum_sources or {}
-        from .profile import sum_sources_of
+        if self.artifact is None:
+            from .profile import sum_sources_of
 
-        return sum_sources_of(self.plan)
+            return sum_sources_of(self.plan)
+        return self.artifact.sum_sources
 
     @property
     def source(self) -> str:
         """Generated Python source (``compile``) or a backend marker."""
-        if self.compiled is not None:
-            return self.compiled.source
-        if self.vectorized is not None:
-            return self.vectorized.source
-        if self.typed is not None:
-            return self.typed.source
-        return "<interpreted>"
+        if self.artifact is None:
+            return "<interpreted>"
+        return self.artifact.source
 
 
 # ---------------------------------------------------------------------------

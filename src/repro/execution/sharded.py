@@ -179,11 +179,13 @@ class ShardExecutor:
 
     Failures propagate to the caller, which is expected to fall back to
     in-process execution; the pool is retired on the way out so a poisoned
-    worker never serves a later call.
+    worker never serves a later call, and ``failures`` counts every such
+    dispatch (surfaced as ``shard_fallbacks`` by sessions and servers).
     """
 
     def __init__(self, workers: int = 0):
         self.workers = max(0, int(workers))
+        self.failures = 0
         self._pool: ProcessPoolExecutor | None = None
         self._key: tuple | None = None
         # Guards pool identity only; executions submit under the lock but
@@ -213,7 +215,9 @@ class ShardExecutor:
                            for part in parts]
             return merge_partials(future.result() for future in futures)
         except BaseException:
-            self.close()
+            with self._lock:
+                self.failures += 1
+                self._retire()
             raise
 
     def _ensure_pool(self, source) -> ProcessPoolExecutor:

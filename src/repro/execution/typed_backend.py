@@ -1,9 +1,8 @@
 """Typed-buffer compiled execution of physical SDQLite plans.
 
-The fourth execution backend (``backend="typed"``).  Where the ``vectorize``
-backend batches a single ``sum`` loop and **falls back to scalar Python** for
-anything nested inside an already-batched body (inner sums, merges, trie and
-nested-hash-map iteration, dict-valued lookups), this backend keeps going:
+The default execution backend (``backend="typed"``).  Where the ``compile``
+backend runs every ``sum`` as a scalar Python loop, this backend batches
+whole loop nests into NumPy kernels:
 
 * every collection is viewed through the flat columnar buffers of
   :mod:`repro.execution.buffers` (one sorted int64 key array per nesting
@@ -41,7 +40,7 @@ the fallback is reported through the optional ``stats`` sink (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -69,6 +68,8 @@ from ..sdqlite.ast import (
     Sum,
     Sym,
     Var,
+    binder_arities,
+    children,
 )
 from ..sdqlite.debruijn import free_indices, shift
 from ..sdqlite.errors import EvaluationError, ExecutionError
@@ -99,7 +100,6 @@ from .buffers import (
     parent_sum,
     to_buffer_levels,
 )
-from .vectorize import _COMPARATORS, _NO_PROBE, _is_closed, _probe_entry, _uses_sum_binders
 
 __all__ = ["typed_plan", "TypedPlan", "Untyped"]
 
@@ -107,6 +107,63 @@ __all__ = ["typed_plan", "TypedPlan", "Untyped"]
 #: inside a batched body (outer lanes × inner entries).  Beyond it the sum
 #: falls back rather than materialize huge intermediates.
 _EXPANSION_CAP = 1 << 23
+
+
+def _uses_sum_binders(expr: Expr, depth: int = 0) -> bool:
+    """True when ``expr`` (inside a sum body) references the sum's key or value.
+
+    ``depth`` counts binders entered below the sum body; the sum's own
+    binders appear as indices ``depth`` (value) and ``depth + 1`` (key).
+    """
+    if isinstance(expr, Idx):
+        return depth <= expr.index < depth + 2
+    for child, arity in zip(children(expr), binder_arities(expr)):
+        if _uses_sum_binders(child, depth + arity):
+            return True
+    return False
+
+
+def _is_closed(expr: Expr, depth: int = 0) -> bool:
+    """True when ``expr`` references no De Bruijn index bound outside itself."""
+    if isinstance(expr, Idx):
+        return expr.index < depth
+    return all(_is_closed(child, depth + arity)
+               for child, arity in zip(children(expr), binder_arities(expr)))
+
+
+#: Sentinel distinguishing "probe missed" (contributes 0) from "not probeable".
+_NO_PROBE = object()
+
+
+def _probe_entry(source, key: int):
+    """O(1) lookup of ``key`` in a dense iteration space.
+
+    Returns the iteration value for ``key``, 0-contribution ``None`` when the
+    key is outside the space, or :data:`_NO_PROBE` when the source is not a
+    range / array / array slice (whose keys are exactly the positions — for
+    other collections the caller must iterate).
+    """
+    if isinstance(source, PhysicalArray):
+        source = source.data
+    if isinstance(source, RangeDict):
+        return key if source.lo <= key < source.hi else None
+    if isinstance(source, np.ndarray) and source.ndim == 1:
+        return source[key] if 0 <= key < source.shape[0] else None
+    if isinstance(source, SliceDict):
+        if source.lo <= key < source.hi:
+            return lookup(source.target, key)
+        return None
+    return _NO_PROBE
+
+
+_COMPARATORS = {
+    "==": lambda a, b: a == b,
+    "!=": lambda a, b: a != b,
+    "<": lambda a, b: a < b,
+    "<=": lambda a, b: a <= b,
+    ">": lambda a, b: a > b,
+    ">=": lambda a, b: a >= b,
+}
 
 
 class Untyped(Exception):
@@ -514,8 +571,8 @@ def _apply_mask(result, mask: np.ndarray):
 def _iteration_space(rt: _Runtime, source):
     """``(keys, values)`` for batching a non-batched sum source, else ``None``.
 
-    Unlike the vectorizer's equivalent, nested dictionaries and tries batch
-    too: their value side is a :class:`TSegs` over the levelized buffers.
+    Nested dictionaries and tries batch too: their value side is a
+    :class:`TSegs` over the levelized buffers.
     """
     source = _unwrap(source)
     if isinstance(source, RangeDict):
@@ -1342,16 +1399,16 @@ class _Lowerer:
 class TypedPlan:
     """A plan lowered to typed-buffer kernels.
 
-    Mirrors :class:`repro.execution.vectorize.VectorizedPlan`: calling the
-    object with an environment executes the plan.  Pass a ``stats`` dict to
-    receive per-run fallback accounting (``sum_loops`` lowered, and
-    ``fallback_sums`` — how many of them ran a scalar Python loop).
+    Calling the object with an environment executes the plan.  Pass a
+    ``stats`` dict to receive per-run fallback accounting (``sum_loops``
+    lowered, and ``fallback_sums`` — how many of them ran a scalar Python
+    loop).
     """
 
     plan: Expr
     function: Callable[..., Any]
     sum_count: int = 0
-    sum_sources: Mapping[int, Expr] | None = None
+    sum_sources: Mapping[int, Expr] = field(default_factory=dict)
 
     def __call__(self, env: Mapping[str, Any], stats: dict | None = None,
                  profile=None) -> Any:

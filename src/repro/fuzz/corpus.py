@@ -4,12 +4,12 @@ A corpus file is a tiny, self-contained Python module — no imports, just
 data — describing one (program, data, format-assignment) point and the
 configurations it once diverged under::
 
-    \"\"\"Shrunk fuzz repro (seed 42): greedy/vectorize diverged from reference.\"\"\"
+    \"\"\"Shrunk fuzz repro (seed 42): greedy/typed diverged from reference.\"\"\"
     PROGRAM = "sum(<k1, v1> in T0) { k1 -> v1 * 2 }"
     TENSORS = {"T0": [[0.0, 1.0], [1.0, 0.0]]}
     FORMATS = {"T0": "csr"}
     SCALARS = {}
-    CONFIGS = [("greedy", "vectorize")]
+    CONFIGS = [("greedy", "typed")]
 
 Files under ``tests/corpus/`` are replayed by ``tests/test_corpus_replay.py``
 on every tier-1 run: a shrunk failure, once fixed, becomes a permanent

@@ -9,7 +9,7 @@ machine-generated scenarios:
   (:mod:`repro.fuzz.genprog`), fabricated tensor data and a legal per-tensor
   format assignment (:mod:`repro.fuzz.gendata`), plus the scalar bindings;
 * :func:`check_case` executes the point under the cross-product of execution
-  backends (``interpret`` / ``compile`` / ``vectorize`` / ``typed``) and optimizer
+  backends (``interpret`` / ``compile`` / ``typed``) and optimizer
   engines — the plain composed plan (``unoptimized``), the greedy strategy
   picker (``greedy``), equality saturation on the fast engine (``egraph``)
   and on the legacy engine (``egraph-legacy``) — and compares every result
@@ -39,7 +39,7 @@ from typing import Any, Iterable, Mapping
 import numpy as np
 
 from ..core import LEGACY_ENGINE, compose
-from ..execution.engine import ExecutionEngine
+from ..execution.engine import BACKENDS, ExecutionEngine
 from ..sdqlite.ast import Expr
 from ..sdqlite.debruijn import to_debruijn_safe
 from ..sdqlite.pretty import to_source
@@ -109,7 +109,7 @@ class FuzzCase:
 class OracleConfig:
     """Which (engine, backend) pairs to run and how to compare results."""
 
-    backends: tuple[str, ...] = ("interpret", "compile", "vectorize", "typed")
+    backends: tuple[str, ...] = BACKENDS
     methods: tuple[str, ...] = ("unoptimized", "greedy", "egraph")
     optimizer_options: Mapping[str, Any] = field(
         default_factory=lambda: dict(FUZZ_OPTIMIZER_OPTIONS))
@@ -1087,7 +1087,7 @@ class AdaptiveDivergence:
 def check_adaptive_case(case: FuzzCase, deltas: list[DeltaUpdate], *,
                         config: OracleConfig | None = None,
                         executions: int = 3,
-                        max_statements: int = 4) -> AdaptiveDivergence | None:
+                        max_statements: int = 3) -> AdaptiveDivergence | None:
     """Execute one case repeatedly under the adaptive loop; assert invariance.
 
     One prepared statement per (method, backend) pair — minus the

@@ -359,7 +359,7 @@ def normalize_key(value):
     """Normalise a dictionary key: booleans and integral floats become ints.
 
     The single definition of SDQLite's key coercion rule, shared by the
-    interpreter and the vectorized backend so they cannot diverge.
+    interpreter and the typed backend so they cannot diverge.
     Non-integral floats stay float keys; non-scalars are rejected.
     """
     if isinstance(value, (bool, np.bool_)):

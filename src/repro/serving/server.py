@@ -43,6 +43,7 @@ from ..core.optimizer import Optimizer
 from ..core.statistics import Statistics
 from ..execution.engine import (
     BACKENDS,
+    DEFAULT_BACKEND,
     ExecutionEngine,
     PlanCache,
     result_to_dense,
@@ -201,7 +202,7 @@ class Server:
     """
 
     def __init__(self, catalog: Catalog | None = None, *, method: str = "greedy",
-                 backend: str = "compile",
+                 backend: str = DEFAULT_BACKEND,
                  optimizer_options: Mapping[str, Any] | None = None,
                  config: ServerConfig | None = None, **overrides):
         if config is not None and overrides:
@@ -225,6 +226,7 @@ class Server:
             threshold=self.config.reoptimize_threshold))
             if self.config.profile_every > 0 else None)
         self._shard_executor = ShardExecutor(self.config.shard_workers)
+        self.stats.attach_shard_executor(self._shard_executor)
         self._envs: OrderedDict[int, dict[str, Any]] = OrderedDict()
         self._statistics: OrderedDict[int, Statistics] = OrderedDict()
         self._prepared_epochs: dict[tuple, tuple[int, int]] = {}
@@ -497,7 +499,8 @@ class Server:
         serves exactly the state the plan was prepared against; scalar
         parameters travel per-call instead of riding in the shipped
         environment.  Any pool failure falls back to the in-process path,
-        which produces the identical result (shard key ranges are disjoint).
+        which produces the identical result (shard key ranges are disjoint),
+        and is counted as ``shard_fallbacks`` in :meth:`ServerStats.snapshot`.
         """
         if self._shard_executor.available():
             parts = split_plan(entry.prepared.plan)
@@ -506,7 +509,7 @@ class Server:
                     return self._shard_executor.run_parts(
                         parts, snapshot, backend, scalar_params)
                 except Exception:
-                    pass
+                    pass  # counted by the executor (shard_fallbacks)
         return entry.run(env)
 
     def _serve(self, query: Expr, program: Expr, *, method: str, backend: str,

@@ -95,6 +95,7 @@ class ServerStats:
     ``views_maintained`` view refreshes performed by :meth:`Server.update`
     ``delta_executions`` of those, served by a prepared delta statement
     ``full_refreshes``  of those, served by full re-execution (fallback)
+    ``shard_fallbacks`` shard-pool dispatches that failed and ran in-process
     ==================  =====================================================
 
     When a plan cache is attached (:meth:`attach_plan_cache` — the server
@@ -111,6 +112,7 @@ class ServerStats:
         self.latency = LatencyRecorder(window=latency_window)
         self.maintenance = LatencyRecorder(window=latency_window)
         self._plan_cache = None
+        self._shard_executor = None
         self.requests = 0
         self.plan_hits = 0
         self.plan_misses = 0
@@ -149,6 +151,15 @@ class ServerStats:
         reference is read at :meth:`snapshot` time, never mutated.
         """
         self._plan_cache = cache
+
+    def attach_shard_executor(self, executor) -> None:
+        """Surface the shard pool's failure count as ``shard_fallbacks``.
+
+        ``executor`` is the server's
+        :class:`~repro.execution.sharded.ShardExecutor`, which counts its
+        own failures; the count is read at :meth:`snapshot` time.
+        """
+        self._shard_executor = executor
 
     def count(self, field: str, delta: int = 1) -> None:
         """Atomically add ``delta`` to one of the counters above."""
@@ -200,6 +211,8 @@ class ServerStats:
                 "views_maintained": self.views_maintained,
                 "delta_executions": self.delta_executions,
                 "full_refreshes": self.full_refreshes,
+                "shard_fallbacks": self._shard_executor.failures
+                                   if self._shard_executor is not None else 0,
                 "latency_count": self.latency.count,
                 "latency_mean_ms": round(self.latency.mean_ms, 4),
                 "latency_p50_ms": round(p50, 4),

@@ -50,6 +50,7 @@ from .core.feedback import FeedbackConfig, FeedbackStore
 from .core.optimizer import OptimizationResult, Optimizer
 from .core.statistics import Statistics
 from .execution.engine import (
+    DEFAULT_BACKEND,
     GLOBAL_PLAN_CACHE,
     ExecutionEngine,
     PlanCache,
@@ -90,7 +91,7 @@ class RunOutcome:
     optimization: OptimizationResult
     plan_source: str
     #: Backend execution counters (``sum_loops``, ``fallback_sums``, ...) for
-    #: the vectorize/typed backends; ``None`` for backends without counters.
+    #: the typed backend; ``None`` for backends without counters.
     execution_stats: dict[str, Any] | None = None
 
     def explain(self) -> str:
@@ -138,8 +139,8 @@ class Session:
         Default optimization method for :meth:`prepare` / :meth:`run`
         (``"greedy"`` or ``"egraph"``).
     backend:
-        Default execution backend (``"interpret"`` / ``"compile"`` /
-        ``"vectorize"``).
+        Default execution backend (``"typed"``, :data:`DEFAULT_BACKEND`;
+        or ``"compile"`` / ``"interpret"``).
     cache:
         The :class:`~repro.execution.engine.PlanCache` lowered plans are
         kept in; the process-wide
@@ -165,11 +166,12 @@ class Session:
         failure of the pool — runs the plan in-process, where the same
         chain streams one shard at a time.  ``0`` (the default) never
         spawns processes.  Feedback-enabled sessions always execute
-        in-process so sampled profiles keep observing whole plans.
+        in-process so sampled profiles keep observing whole plans.  Each
+        pool failure is counted in :attr:`shard_fallbacks`.
     """
 
     def __init__(self, catalog: Catalog | None = None, *, method: str = "greedy",
-                 backend: str = "compile", cache: PlanCache | None = None,
+                 backend: str = DEFAULT_BACKEND, cache: PlanCache | None = None,
                  optimizer_options: Mapping[str, Any] | None = None,
                  feedback: FeedbackConfig | None = None,
                  shard_workers: int = 0):
@@ -218,6 +220,11 @@ class Session:
             self._engines.clear()
             self._opt_memo.clear()
             self._shard_executor.close()
+
+    @property
+    def shard_fallbacks(self) -> int:
+        """Executions whose shard-pool dispatch failed and ran in-process."""
+        return self._shard_executor.failures
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"Session(tensors={sorted(self.catalog.tensors)}, "
@@ -699,7 +706,7 @@ class Statement:
                         scalar_params)
                     return self._finish(result)
                 except Exception:
-                    pass
+                    pass  # counted in Session.shard_fallbacks
         if scalar_params:
             env = dict(env)
             env.update(scalar_params)
@@ -731,7 +738,7 @@ class Statement:
     def execute_with_stats(self, stats: dict, **scalar_params: float) -> Any:
         """Like :meth:`execute`, but populate ``stats`` with backend counters.
 
-        The vectorize and typed backends record loop/fallback counts
+        The typed backend records loop/fallback counts
         (``sum_loops``, ``merge_loops``, ``fallback_sums``,
         ``fallback_merges``) into the given dictionary; other backends
         leave it untouched.  When the session's adaptive feedback loop is

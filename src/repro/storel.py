@@ -19,7 +19,7 @@ Every function here is a thin wrapper over a throwaway
 :class:`repro.session.Session`, so all entry points share one pipeline:
 parse, derive statistics from the catalog, run the cost-based optimizer,
 lower the chosen plan on the selected execution backend
-(``backend="compile"`` by default; ``"interpret"`` and ``"vectorize"`` are
+(``backend="typed"`` by default; ``"interpret"`` and ``"compile"`` are
 the alternatives — see ``docs/backends.md``), execute, and return the result
 (a scalar or a nested dict, or a dense NumPy array when ``dense_shape`` is
 given).  Lowered plans are cached process-wide, so repeated calls with the
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from typing import Any, Mapping
 
+from .execution.engine import DEFAULT_BACKEND
 from .sdqlite.ast import Expr
 from .session import RunOutcome, Session
 from .storage.catalog import Catalog
@@ -41,7 +42,7 @@ __all__ = ["RunOutcome", "advise", "run", "run_detailed", "explain"]
 
 
 def run_detailed(program: "str | Expr", catalog: Catalog, *, method: str = "greedy",
-                 backend: str = "compile", dense_shape: tuple[int, ...] | None = None,
+                 backend: str = DEFAULT_BACKEND, dense_shape: tuple[int, ...] | None = None,
                  optimizer_options: Mapping[str, Any] | None = None) -> RunOutcome:
     """Optimize and execute ``program`` over ``catalog``; return value and plan details.
 
@@ -56,9 +57,9 @@ def run_detailed(program: "str | Expr", catalog: Catalog, *, method: str = "gree
         candidate, fast) or ``"egraph"`` (full two-stage equality
         saturation).
     backend:
-        Execution backend: ``"compile"`` (generated Python loops, default),
-        ``"interpret"`` (reference interpreter) or ``"vectorize"``
-        (whole-array NumPy with automatic loop fallback).
+        Execution backend: ``"typed"`` (typed-buffer kernels, default),
+        ``"compile"`` (generated Python loops) or ``"interpret"``
+        (reference interpreter).
     dense_shape:
         When given, the result is densified into a NumPy array (or scalar)
         of this shape.
@@ -71,12 +72,12 @@ def run_detailed(program: "str | Expr", catalog: Catalog, *, method: str = "gree
 
 
 def run(program: "str | Expr", catalog: Catalog, *, method: str = "greedy",
-        backend: str = "compile", dense_shape: tuple[int, ...] | None = None,
+        backend: str = DEFAULT_BACKEND, dense_shape: tuple[int, ...] | None = None,
         optimizer_options: Mapping[str, Any] | None = None) -> Any:
     """Optimize and execute ``program`` over ``catalog``; return just the value.
 
-    ``backend`` selects the execution backend — ``"compile"`` (default),
-    ``"interpret"`` or ``"vectorize"``; ``optimizer_options`` forwards
+    ``backend`` selects the execution backend — ``"typed"`` (default),
+    ``"compile"`` or ``"interpret"``; ``optimizer_options`` forwards
     optimizer/engine knobs (limits, ``scheduler``, ``indexed``,
     ``incremental``); see :func:`run_detailed` for all parameters.
     """
@@ -98,7 +99,7 @@ def advise(programs, catalog: Catalog, *, apply: bool = False, **kwargs):
     ``catalog`` in place (tensors re-stored via ``storage.convert``, catalog
     epochs bumped).  Keyword arguments are forwarded to
     :meth:`repro.session.Session.advise` (e.g. ``measure=True`` to validate
-    the top-k estimates with real executions on the vectorized backend).
+    the top-k estimates with real executions on the default backend).
 
     Example::
 

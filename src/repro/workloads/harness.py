@@ -6,8 +6,8 @@ measurement is repeated a configurable number of times and the average is
 reported.  Systems that cannot run a configuration (out of memory, missing
 sparse rank-3 support) are recorded as such rather than failing the run.
 
-STOREL itself can be measured on any of its four execution backends
-(``interpret`` / ``compile`` / ``vectorize`` / ``typed``);
+STOREL itself can be measured on any of its three execution backends
+(``interpret`` / ``compile`` / ``typed``);
 :func:`backend_shootout` runs one kernel/catalog across several backends so
 their relative speed can be reported side by side
 (``benchmarks/bench_backends.py`` uses it).  Backends that prepare work on
@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from ..baselines.base import NotSupportedError, System, reference_result
-from ..execution.engine import BACKENDS
+from ..execution.engine import BACKENDS, DEFAULT_BACKEND
 from ..kernels.programs import Kernel
 from ..storage.catalog import Catalog
 from ..storage.formats import build_format
@@ -46,7 +46,7 @@ class Measurement:
     #: Wall-clock of the warmup execution (first call, where JIT backends
     #: compile); ``None`` when no warmup ran.  Excluded from ``mean_ms``.
     compile_ms: float | None = None
-    #: Backend loop-fallback counters from the warmup run (vectorize/typed
+    #: Backend loop-fallback counters from the warmup run (typed
     #: only): sums / merges that executed as Python loops instead of kernels.
     fallback_sums: int | None = None
     fallback_merges: int | None = None
@@ -142,8 +142,7 @@ def backend_shootout(kernel: Kernel, catalog: Catalog, *,
     """Measure STOREL on one kernel/catalog across several execution backends.
 
     ``backends`` is a sequence of backend names, each one of ``"interpret"``,
-    ``"compile"``, ``"vectorize"`` or ``"typed"`` (the full set by default);
-    each backend
+    ``"compile"`` or ``"typed"`` (the full set by default); each backend
     yields one :class:`Measurement` whose system name is
     ``STOREL[<backend>]``.  One :class:`~repro.session.Session` is shared
     across all backends, so statistics and plan optimization happen once per
@@ -184,7 +183,7 @@ def reformatted_catalog(catalog: Catalog, formats: Mapping[str, str]) -> Catalog
 
 def advisor_shootout(kernel: Kernel, catalog: Catalog,
                      configurations: Mapping[str, Mapping[str, str]], *,
-                     backend: str = "vectorize", method: str = "greedy",
+                     backend: str = DEFAULT_BACKEND, method: str = "greedy",
                      dataset: str = "", repeats: int = 3, rounds: int = 3,
                      check: bool = True) -> list[Measurement]:
     """Measure STOREL on one kernel under several named storage configurations.

@@ -12,6 +12,6 @@ PROGRAM = '(sum(<k1, v2> in T0) (if (k1 <= k1) then let x6 = if (k1 + 2 != 2 && 
 TENSORS = {'T0': [[0.15109728623079438, 0.0], [0.25094844408515343, 0.16493140491617853]]}
 FORMATS = {'T0': 'band'}
 SCALARS = {'c0': 1.0}
-CONFIGS = [('greedy', 'compile'), ('egraph', 'vectorize')]
+CONFIGS = [('greedy', 'compile'), ('egraph', 'typed')]
 MODE = 'adaptive'
 DELTAS = [{'name': 'T0', 'coords': [[1, 0], [0, 0]], 'values': [-0.25094844408515343, 2.0]}, {'name': 'T0', 'coords': [[0, 0], [1, 1]], 'values': [-2.0, 1.0]}, {'name': 'T0', 'coords': [[0, 0]], 'values': [-2.0]}]

@@ -6,4 +6,4 @@ PROGRAM = "{ 0 -> c0 } * { 3 -> 1 }"
 TENSORS = {}
 FORMATS = {}
 SCALARS = {"c0": 1.0}
-CONFIGS = [("egraph", "interpret"), ("egraph", "compile"), ("egraph", "vectorize")]
+CONFIGS = [("egraph", "interpret"), ("egraph", "compile"), ("egraph", "typed")]

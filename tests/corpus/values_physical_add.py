@@ -6,4 +6,4 @@ PROGRAM = "T0 + T0"
 TENSORS = {"T0": [[1.0, 0.0], [0.5, 2.0]]}
 FORMATS = {"T0": "trie"}
 SCALARS = {}
-CONFIGS = [("egraph", "interpret"), ("egraph", "compile"), ("greedy", "vectorize")]
+CONFIGS = [("egraph", "interpret"), ("egraph", "compile"), ("greedy", "typed")]

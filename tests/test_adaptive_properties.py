@@ -367,7 +367,7 @@ def make_matrix_session(**feedback):
 def test_misestimation_triggers_transparent_reprepare():
     session, a, x = make_matrix_session(sample_every=1, threshold=2.0)
     program = "sum(<i, Ai> in A) sum(<j, v> in Ai) v * X(j)"
-    statement = session.prepare(program, backend="vectorize")
+    statement = session.prepare(program, backend="typed")
     # Corrupt the derived statistics the optimizer loops over so the first
     # profiled run observes a massive q-error on the outer range loop.
     session.statistics().scalar_values["A_len1"] = 1_000_000.0
@@ -421,7 +421,7 @@ def test_disable_feedback_stops_the_loop_but_keeps_observations():
 def test_run_outcome_explain_renders_feedback_counters():
     session, _, _ = make_matrix_session(sample_every=1)
     outcome = session.run_detailed("sum(<i, Ai> in A) sum(<j, v> in Ai) v",
-                                   backend="vectorize")
+                                   backend="typed")
     rendered = outcome.explain()
     assert "feedback_checked" in rendered
     assert "profiled_runs" in rendered

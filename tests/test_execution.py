@@ -16,7 +16,6 @@ from repro.execution import (
     result_to_scalar,
     result_to_vector,
     typed_plan,
-    vectorize_plan,
 )
 from repro.kernels import KERNELS
 from repro.sdqlite import evaluate, parse_expr, to_debruijn, values_equal
@@ -126,7 +125,7 @@ def test_execution_engine_backends_agree():
 
 
 # ---------------------------------------------------------------------------
-# vectorize backend: kernel × format parity with the interpreter
+# kernel × format parity with the interpreter
 # ---------------------------------------------------------------------------
 
 MATRIX_FORMATS = ("dense", "coo", "csr", "csc", "dcsr", "dok", "trie")
@@ -167,19 +166,6 @@ def _parity_catalog(kernel_name: str, fmt: str, size: int = 8) -> Catalog:
 
 @pytest.mark.parametrize("kernel_name,fmt", _PARITY_CASES,
                          ids=[f"{k}-{f}" for k, f in _PARITY_CASES])
-def test_vectorize_matches_interpreter(kernel_name, fmt):
-    """The vectorize backend equals the interpreter on every kernel × format."""
-    kernel = KERNELS[kernel_name]
-    catalog = _parity_catalog(kernel_name, fmt)
-    naive = compose(kernel.program, catalog.mappings())
-    env = catalog.globals()
-    for plan in strategies.candidate_plans(naive).values():
-        vectorized = vectorize_plan(plan)
-        assert values_equal(vectorized(env), evaluate(plan, env))
-
-
-@pytest.mark.parametrize("kernel_name,fmt", _PARITY_CASES,
-                         ids=[f"{k}-{f}" for k, f in _PARITY_CASES])
 def test_typed_matches_interpreter(kernel_name, fmt):
     """The typed backend equals the interpreter on every kernel × format."""
     kernel = KERNELS[kernel_name]
@@ -195,10 +181,9 @@ def test_typed_matches_interpreter(kernel_name, fmt):
 def test_codegen_matches_interpreter_parity_matrix(kernel_name, fmt):
     """The compile backend equals the interpreter on every kernel × format.
 
-    The systematic counterpart of ``test_vectorize_matches_interpreter``:
-    until this matrix existed only the vectorize backend had kernel × format
-    coverage, while ``compile`` was exercised on a handful of hand-picked
-    catalogs (and the differential fuzzer promptly found a zero-pruning
+    The counterpart of ``test_typed_matches_interpreter``: before this
+    matrix ``compile`` was exercised on a handful of hand-picked catalogs
+    only (and the differential fuzzer promptly found a zero-pruning
     divergence there — see ``tests/corpus/codegen_zero_value_keys.py``).
     """
     kernel = KERNELS[kernel_name]
@@ -209,7 +194,7 @@ def test_codegen_matches_interpreter_parity_matrix(kernel_name, fmt):
         assert values_equal(compile_plan(plan)(env), evaluate(plan, env))
 
 
-def test_vectorize_engine_agrees_with_other_backends():
+def test_engine_backends_agree():
     catalog = Catalog()
     catalog.add(CSRFormat.from_dense("A", random_sparse_matrix(9, 9, 0.4, seed=51)))
     plan = db("sum(<row, _> in 0:A_len1) "
@@ -218,29 +203,28 @@ def test_vectorize_engine_agrees_with_other_backends():
     results = {backend: ExecutionEngine.for_catalog(catalog, backend=backend,
                                                     cache=PlanCache()).run(plan)
                for backend in BACKENDS}
-    assert values_equal(results["vectorize"], results["interpret"])
-    assert values_equal(results["vectorize"], results["compile"])
+    assert values_equal(results["typed"], results["interpret"])
+    assert values_equal(results["typed"], results["compile"])
 
 
-def test_vectorize_probe_shortcut_semantics():
+def test_typed_probe_shortcut_semantics():
     """Equality-probe loops: in range, out of range, and non-integer probes."""
     env = {"V": np.array([5.0, 6.0, 7.0]), "N": 3}
     for j, expected in [(1, 6.0), (7, 0), (-2, 0)]:
         plan = db(f"sum(<i, v> in V) if (i == {j}) then v")
-        assert vectorize_plan(plan)(env) == evaluate(plan, env) == expected
+        assert typed_plan(plan)(env) == evaluate(plan, env) == expected
     plan = db("sum(<i, _> in 0:N) if (i == 1.5) then 9")
-    assert vectorize_plan(plan)(env) == evaluate(plan, env) == 0
+    assert typed_plan(plan)(env) == evaluate(plan, env) == 0
     # Probe expression referencing an outer binder.
     plan = db("sum(<j, _> in 0:N) { j -> sum(<i, v> in V) if (i == j) then 2 * v }")
-    assert values_equal(vectorize_plan(plan)(env), evaluate(plan, env))
+    assert values_equal(typed_plan(plan)(env), evaluate(plan, env))
 
 
-def test_vectorize_source_marker_and_named_form_rejection():
+def test_typed_source_marker_and_named_form_rejection():
     plan = db("sum(<i, v> in V) { i -> v }")
-    vectorized = vectorize_plan(plan)
-    assert "vectorized" in vectorized.source
+    assert "typed" in typed_plan(plan).source
     with pytest.raises(ExecutionError):
-        vectorize_plan(parse_expr("sum(<i, v> in V) { i -> v }"))  # named form
+        typed_plan(parse_expr("sum(<i, v> in V) { i -> v }"))  # named form
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +242,7 @@ def test_plan_cache_hits_on_repeated_prepare():
     second = engine.prepare(plan)
     assert (cache.hits, cache.misses) == (1, 1)
     # The lowered artifact is shared; the bound environment is per-prepare.
-    assert second.compiled is first.compiled
+    assert second.artifact is first.artifact
     assert first.run() == second.run() == pytest.approx(6.0)
 
 
@@ -270,7 +254,7 @@ def test_plan_cache_invalidates_on_env_schema_and_backend():
     ExecutionEngine(env=array_env, backend="compile", cache=cache).prepare(plan)
     ExecutionEngine(env=dict_env, backend="compile", cache=cache).prepare(plan)
     assert cache.misses == 2 and cache.hits == 0  # different env schema
-    ExecutionEngine(env=array_env, backend="vectorize", cache=cache).prepare(plan)
+    ExecutionEngine(env=array_env, backend="typed", cache=cache).prepare(plan)
     assert cache.misses == 3  # different backend
     other_plan = db("sum(<i, v> in V) 2 * v")
     ExecutionEngine(env=array_env, backend="compile", cache=cache).prepare(other_plan)

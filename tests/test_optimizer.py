@@ -119,7 +119,8 @@ def test_storel_run_quickstart():
 
 def test_storel_run_detailed_and_explain():
     catalog = mmm_catalog(size=6)
-    outcome = storel.run_detailed(MMM.source, catalog, dense_shape=(6, 6))
+    outcome = storel.run_detailed(MMM.source, catalog, dense_shape=(6, 6),
+                                   backend="compile")
     expected = reference_result(MMM, catalog)
     np.testing.assert_allclose(outcome.result, expected)
     assert "def " in outcome.plan_source

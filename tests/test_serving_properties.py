@@ -70,7 +70,7 @@ programs = st.sampled_from([
     "sum(<i, Ai> in A) sum(<j, v> in Ai) { i -> v }",
 ])
 methods = st.sampled_from(["greedy", "egraph"])
-backends = st.sampled_from(["interpret", "compile", "vectorize", "typed"])
+backends = st.sampled_from(["interpret", "compile", "typed"])
 options = st.dictionaries(st.sampled_from(["iter_limit", "node_limit"]),
                           st.integers(min_value=1, max_value=10), max_size=2)
 

@@ -141,8 +141,8 @@ def test_session_memoizes_optimization_across_backends_and_statements():
     a, x = make_inputs()
     session = make_session(a, x)
     compiled = session.prepare(BATAX_PROGRAM, backend="compile")
-    vectorized = session.prepare(BATAX_PROGRAM, backend="vectorize")
-    assert compiled.optimization is vectorized.optimization  # optimized once
+    typed = session.prepare(BATAX_PROGRAM, backend="typed")
+    assert compiled.optimization is typed.optimization  # optimized once
     assert session.prepare(BATAX_PROGRAM).optimization is compiled.optimization
 
 
@@ -302,7 +302,7 @@ def test_storel_system_reuses_a_shared_session():
     catalog = fresh_catalog(a, x, 0.5)
     session = Session(catalog)
     runs = [StorelSystem(backend=backend, session=session).prepare(BATAX, catalog)
-            for backend in ("compile", "vectorize")]
+            for backend in ("compile", "typed")]
     assert runs[0].optimization is runs[1].optimization  # one optimization, shared
     for run in runs:
         np.testing.assert_allclose(run(), batax_oracle(a, x, 0.5))

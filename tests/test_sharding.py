@@ -354,7 +354,7 @@ def test_shard_executor_matches_serial_and_retires_on_mutation():
     session.close()
 
 
-@pytest.mark.parametrize("backend", ["compile", "vectorize"])
+@pytest.mark.parametrize("backend", ["compile", "typed"])
 def test_session_shard_workers_parity(backend):
     A = _random_dense(10, (14, 5))
     X = np.arange(5, dtype=float)
@@ -400,22 +400,45 @@ def test_shard_workers_zero_never_spawns():
     assert not executor.available()
 
 
-def test_session_falls_back_when_pool_fails(monkeypatch):
+def _delete_spill_files(directory) -> None:
+    """Injected pool fault: workers re-open memmaps by name, so they fail.
+
+    The parent keeps its open mappings, so in-process execution still reads
+    the same data.
+    """
+    spilled = [name for name in os.listdir(directory) if name.endswith(".mm")]
+    assert spilled
+    for name in spilled:
+        os.unlink(os.path.join(directory, name))
+
+
+def test_session_falls_back_when_pool_fails(tmp_path):
     A = _random_dense(10, (14, 5))
     X = np.arange(5, dtype=float)
-    session = Session(_batax_catalog(A, X, shards=3), shard_workers=2)
+    program = get_kernel("batax").source
+    expected = storel.run(program, _batax_catalog(A, X, shards=3), dense_shape=(5,))
+    session = Session(_batax_catalog(A, X, shards=3, memmap_dir=str(tmp_path)),
+                      shard_workers=2)
     try:
-        statement = session.prepare(get_kernel("batax").source, dense_shape=(5,))
-        expected = storel.run(get_kernel("batax").source,
-                              _batax_catalog(A, X, shards=3), dense_shape=(5,))
-
-        def boom(*args, **kwargs):
-            raise RuntimeError("pool down")
-
-        monkeypatch.setattr(session._shard_executor, "run_parts", boom)
+        statement = session.prepare(program, dense_shape=(5,))
+        _delete_spill_files(tmp_path)
         np.testing.assert_allclose(statement.execute(), expected)
+        assert session.shard_fallbacks == 1
     finally:
         session.close()
+
+
+def test_server_falls_back_when_pool_fails(tmp_path):
+    A = _random_dense(11, (14, 5))
+    X = np.arange(5, dtype=float)
+    program = get_kernel("batax").source
+    expected = storel.run(program, _batax_catalog(A, X, shards=3), dense_shape=(5,))
+    with Server(_batax_catalog(A, X, shards=3, memmap_dir=str(tmp_path)),
+                shard_workers=2) as server:
+        statement = server.session().prepare(program, dense_shape=(5,))
+        _delete_spill_files(tmp_path)
+        np.testing.assert_allclose(statement.execute(), expected)
+        assert server.stats.snapshot()["shard_fallbacks"] == 1
 
 
 # ---------------------------------------------------------------------------

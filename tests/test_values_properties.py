@@ -3,7 +3,7 @@
 The differential oracle's comparison layer (and every backend's runtime)
 rests on ``normalize_key`` / ``truthy`` / ``merge_hashable`` and friends —
 the one definition of SDQLite's coercion rules shared by the interpreter,
-the vectorizer and generated code.  A comparison layer that is itself wrong
+the typed backend and generated code.  A comparison layer that is itself wrong
 would silently validate divergent backends, so these invariants are checked
 property-style over arbitrary scalars and nested dictionaries.
 """
